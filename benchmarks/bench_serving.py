@@ -38,11 +38,10 @@ a deadline-batched gateway over a **real loopback TCP fleet**
 byte-identical to the simulated gateway's, and the served fraction is
 gated as ``tcp_serving_served_fraction``.
 
-The ``bench-async`` CI job replays the trace once more through
-``Gateway.run_async`` over the event-loop ``async_tcp`` backend
-(``test_async_tcp_gateway_matches_sync_tcp``) and diffs every commonly
-served answer byte-for-byte against the sync ``tcp`` replay — the
-ISSUE's acceptance trace. ``ASYNC_TRACE_REQUESTS`` scales the trace
+The same job replays the trace twice more over ``tcp``, once through
+``Gateway.run`` and once through ``Gateway.run_async``
+(``test_tcp_run_async_matches_run``), and diffs every commonly served
+answer byte-for-byte. ``ASYNC_TRACE_REQUESTS`` scales that trace's
 length (CI sets 10000; the local default keeps the bench quick).
 """
 
@@ -209,17 +208,16 @@ def test_tcp_gateway_completes_mixed_trace(cfg):
     assert sim_report.total == n  # both replays saw the identical trace
 
 
-def test_async_tcp_gateway_matches_sync_tcp(cfg):
-    """The asyncio acceptance pin: one event-loop master replays the
-    open-loop mixed trace through ``Gateway.run_async`` over a
-    loopback ``async_tcp`` fleet. Every request terminates, the served
-    fraction clears the gated ``async_tcp_serving_served_fraction``
-    baseline, and every answer served by both the async and the sync
-    ``tcp`` replay is byte-identical — swapping reader threads for one
-    event loop can change timing, never a byte.
+def test_tcp_run_async_matches_run(cfg):
+    """The asyncio gateway pin: ``Gateway.run_async`` replays the
+    open-loop mixed trace over a loopback ``tcp`` fleet. Every request
+    terminates, the served fraction clears the gated
+    ``tcp_run_async_served_fraction`` baseline, and every answer served
+    by both the ``run_async`` and the ``run`` replay is byte-identical —
+    the asyncio entry point can change timing, never a byte.
 
-    ``ASYNC_TRACE_REQUESTS`` scales the trace; the CI ``bench-async``
-    job sets 10000 (the ISSUE's acceptance length)."""
+    ``ASYNC_TRACE_REQUESTS`` scales the trace; the CI ``bench-tcp``
+    job sets 10000."""
     n = int(os.environ.get("ASYNC_TRACE_REQUESTS", "240"))
     hybrid = {"window": WINDOW, "safety": 2.0, "linger": 0.02}
     sync_report, sync_results = _serve(
@@ -229,7 +227,7 @@ def test_async_tcp_gateway_matches_sync_tcp(cfg):
         cfg,
         policy="hybrid",
         options=hybrid,
-        backend="async_tcp",
+        backend="tcp",
         n_requests=n,
         use_async=True,
     )
@@ -237,12 +235,12 @@ def test_async_tcp_gateway_matches_sync_tcp(cfg):
     assert async_report.total == n
     assert len(async_report.served) + async_report.shed == n
     served_fraction = len(async_report.served) / n
-    record_metric("async_tcp_serving_served_fraction", served_fraction)
-    record_metric("async_tcp_trace_requests", n)
+    record_metric("tcp_run_async_served_fraction", served_fraction)
+    record_metric("tcp_run_async_trace_requests", n)
     assert served_fraction >= 0.8, async_report.summary()
 
     common = set(async_results) & set(sync_results)
-    assert common, "the async and sync gateways served no request in common"
+    assert common, "run_async and run served no request in common"
     for rid in common:
         assert async_results[rid].tobytes() == sync_results[rid].tobytes()
     assert sync_report.total == n  # both replays saw the identical trace

@@ -39,7 +39,7 @@ them as never-arrived — the same observation a straggler produces —
 so the master's waiting policy and the adaptive re-coding absorb the
 failure instead of hanging. Heartbeats ride the same pump that
 collects results, and the worker daemon acknowledges them from its
-receiver thread even mid-compute, so a slow worker is never mistaken
+receive task even mid-compute, so a slow worker is never mistaken
 for a dead one. ``round_timeout`` bounds each round's collect phase:
 workers that produced nothing by then are recorded as never-arrived
 for that round (but stay in the pool).
@@ -546,14 +546,20 @@ class TcpCluster(WallClockBackend):
                 continue
             self._hb_pending[wid] = None
             if kind == "result":
-                rid = int(fields["rid"])
+                try:
+                    rid = int(fields["rid"])
+                    compute_time = float(fields.get("compute_time", 0.0))
+                except (KeyError, TypeError, ValueError):
+                    # an unparseable result header is a wire error: the
+                    # sender is untrusted, so it is dropped, not obeyed
+                    self._mark_dead(wid)
+                    continue
                 value = arrays[0] if fields.get("ok") and arrays else None
                 target = self._handles.get(rid)
                 if target is not None:
                     target._deliver(
-                        wid, value, float(fields.get("compute_time", 0.0)),
-                        fields.get("err"), fields.get("spans"),
-                        fields.get("digest"),
+                        wid, value, compute_time, fields.get("err"),
+                        fields.get("spans"), fields.get("digest"),
                     )
             elif kind == "heartbeat_ack":
                 # liveness needed no more than the _hb_pending reset
@@ -735,9 +741,14 @@ class TcpCluster(WallClockBackend):
                     pass
 
     def close(self) -> None:
+        """Shut the fleet down. Rounds still in flight resolve their
+        outstanding workers as never-arrived, so their handles finish
+        without touching the closed sockets."""
         if self._closed:
             return
         self._closed = True
+        for handle in list(self._handles.values()):
+            handle._expire()
         for wid in list(self._conns):
             if wid not in self._dead and wid not in self._dropped:
                 self._shutdown_worker(wid)

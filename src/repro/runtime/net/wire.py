@@ -385,10 +385,9 @@ def read_frame(
     return decode_payload(code, payload)
 
 
-async def read_frame_async(
-    reader, counters: WireCounters | None = None
-) -> tuple[str, dict, list[np.ndarray]]:
-    """Async twin of :func:`read_frame` over an ``asyncio.StreamReader``.
+async def read_frame_async(reader) -> tuple[str, dict, list[np.ndarray]]:
+    """Async twin of :func:`read_frame` over an ``asyncio.StreamReader``
+    (the worker daemon's read path; the daemon keeps no wire counters).
 
     Same validation, same :class:`WireError` surface; a peer that
     closes mid-frame raises ``asyncio.IncompleteReadError`` (callers
@@ -407,11 +406,7 @@ async def read_frame_async(
     if length > MAX_PAYLOAD:
         raise WireError(f"declared payload of {length} bytes exceeds MAX_PAYLOAD")
     payload = memoryview(await reader.readexactly(length))
-    if counters is not None:
-        counters.note_in(_PREAMBLE.size + length)
     if zlib.crc32(payload) != crc:
-        if counters is not None:
-            counters.crc_rejects += 1
         raise WireError("payload checksum mismatch (corrupted frame)")
     return decode_payload(code, payload)
 

@@ -7,10 +7,8 @@ scale — the same fleet description the in-process backends apply
 directly), then serves the store/round protocol until it is shut down
 or the connection drops.
 
-The daemon runs **one asyncio event loop** (it serves either the sync
-``TcpCluster`` or the ``AsyncTcpCluster`` — the wire protocol is
-identical) with two long-lived tasks splitting the work so it never
-deadlocks and never goes dark:
+The daemon runs **one asyncio event loop** with two long-lived tasks
+splitting the work so it never deadlocks and never goes dark:
 
 * the **receive task** drains the socket continuously — heartbeats are
   acknowledged inline (so a worker grinding through a long compute, or

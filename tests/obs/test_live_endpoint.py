@@ -1,7 +1,7 @@
-"""The ISSUE's acceptance path: one served request over ``async_tcp``
+"""One request served by ``Gateway.run_async`` over the ``tcp`` backend
 produces a single trace spanning gateway → session → round →
 worker-side compute, retrievable *live* from the telemetry endpoint
-attached to ``Gateway.run_async``."""
+attached to the gateway."""
 
 import asyncio
 import json
@@ -22,11 +22,11 @@ def _fetch(url):
 
 
 class TestLiveEndpoint:
-    def test_async_tcp_request_trace_served_live(self):
+    def test_tcp_request_trace_served_live(self):
         async def run():
             cfg = SessionConfig(
                 scheme=SchemeParams(n=6, k=3, s=1, m=1),
-                backend="async_tcp",
+                backend="tcp",
                 seed=0,
                 batch_window=64,
                 observability=True,

@@ -1,4 +1,4 @@
-"""Wire-level counters on the socket backends: bytes/frames in and
+"""Wire-level counters on the socket backend: bytes/frames in and
 out, CRC rejects and per-worker heartbeat RTT, surfaced through
 ``SessionStats.summary()`` and the metrics registry."""
 
@@ -30,7 +30,7 @@ def _run(backend):
 
 
 class TestWireCounters:
-    @pytest.mark.parametrize("backend", ["tcp", "async_tcp"])
+    @pytest.mark.parametrize("backend", ["tcp"])
     def test_counts_flow_and_surface_in_summary(self, backend):
         summary, wire, prom = _run(backend)
         # hello+config+store+round out, hello+results back — all >0

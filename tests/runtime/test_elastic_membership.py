@@ -1,13 +1,13 @@
-"""Elastic membership on the socket backends: worker join/rejoin.
+"""Elastic membership on the socket backend: worker join/rejoin.
 
 Covers what PR 7 added to the runtime layer — a restarted or brand-new
 worker daemon can dial a *running* cluster, handshake, park as a
 pending join, and be admitted at a quiesce point (never mid-round);
 ``drop_workers`` is reversible; the hello-level protocol negotiation
 turns mismatched daemons away with a descriptive error on both the
-sync and async read paths. The session-level reconciliation
-(``end_iteration`` growing N, byte-exact results across membership
-changes) is exercised at the bottom.
+master's socket read path and the daemon's asyncio read path. The
+session-level reconciliation (``end_iteration`` growing N, byte-exact
+results across membership changes) is exercised at the bottom.
 """
 
 import asyncio
@@ -22,7 +22,7 @@ import pytest
 from repro.api import Session, SessionConfig
 from repro.coding import SchemeParams
 from repro.ff import PrimeField, ff_matvec
-from repro.runtime import AsyncTcpCluster, RoundJob, SimWorker, TcpCluster
+from repro.runtime import RoundJob, SimWorker, TcpCluster
 from repro.runtime.net import (
     PROTOCOL_VERSION,
     WireError,
@@ -33,7 +33,7 @@ from repro.runtime.net.wire import check_hello, read_frame_async
 
 F = PrimeField()
 
-CLUSTERS = {"tcp": TcpCluster, "async_tcp": AsyncTcpCluster}
+CLUSTERS = {"tcp": TcpCluster}
 KINDS = sorted(CLUSTERS)
 
 
@@ -183,8 +183,7 @@ class TestVersionNegotiation:
     @pytest.mark.parametrize("kind", KINDS)
     def test_mismatched_daemon_turned_away_at_join(self, kind):
         """A late dialer whose hello negotiates the wrong protocol
-        revision is rejected (connection closed, never parked) on both
-        the sync selector path and the asyncio path."""
+        revision is rejected (connection closed, never parked)."""
         with _cluster(kind, 2) as backend:
             fresh = 2  # would be a valid new id if the hello were sane
             with socket.create_connection(
@@ -198,7 +197,7 @@ class TestVersionNegotiation:
                 conn.settimeout(5.0)
                 deadline = time.monotonic() + 10.0
                 while time.monotonic() < deadline:
-                    backend.membership()  # sync path sweeps the backlog here
+                    backend.membership()  # sweeps the listener backlog
                     try:
                         read_frame(conn)
                     except WireError:
@@ -208,8 +207,9 @@ class TestVersionNegotiation:
             assert fresh not in backend.membership().pending
 
     def test_async_read_path_rejects_frame_version(self):
-        """The asyncio reader raises the same descriptive WireError as
-        the sync one when the preamble's version byte is foreign."""
+        """The daemon's asyncio reader raises the same descriptive
+        WireError as the master's socket reader when the preamble's
+        version byte is foreign."""
         from repro.runtime.net.wire import encode_frame
 
         frame = bytearray(

@@ -1,8 +1,9 @@
 """TCP backend specifics: the wire protocol's rejection of malformed
 frames, fault tolerance of the round transport (killed workers,
-heartbeat-dead peers, cancel idempotence), the external-daemon
-registration path (the real ``python -m`` CLI), and byte-identical
-decode parity vs the simulator for every master family.
+heartbeat-dead peers, malformed result headers, cancel, close), the
+external-daemon registration path (the real ``python -m`` CLI),
+fan-out without threads, and byte-identical decode parity vs the
+simulator for every master family.
 
 The generic Backend-contract, parity and early-stopping coverage for
 ``tcp`` lives in ``test_backends.py``/``test_concurrent_rounds.py``
@@ -10,6 +11,7 @@ The generic Backend-contract, parity and early-stopping coverage for
 what only a socket fleet can exhibit.
 """
 
+import math
 import os
 import signal
 import socket
@@ -39,6 +41,23 @@ from repro.runtime.net import (
 from repro.runtime.net.wire import MSG_CODES
 
 F = PrimeField()
+
+
+def _dial_and_register(port, wid):
+    """Connect a hand-rolled peer to a master that may not listen yet,
+    and register it as worker ``wid``; returns the socket."""
+    deadline = time.monotonic() + 20.0
+    while True:  # retry until the master listens
+        try:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+            break
+        except OSError:
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(0.02)
+    send_frame(sock, "hello", {"worker_id": wid, "protocol": PROTOCOL_VERSION})
+    read_frame(sock)  # config
+    return sock
 
 
 # ----------------------------------------------------------------------
@@ -184,18 +203,7 @@ class TestFaultTolerance:
         stop = threading.Event()
 
         def zombie():
-            deadline = time.monotonic() + 20.0
-            while True:  # retry until the master listens
-                try:
-                    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
-                    break
-                except OSError:
-                    if time.monotonic() >= deadline:
-                        raise
-                    time.sleep(0.02)
-            with sock:
-                send_frame(sock, "hello", {"worker_id": 2, "protocol": PROTOCOL_VERSION})
-                read_frame(sock)  # config
+            with _dial_and_register(port, 2):
                 stop.wait(30.0)  # never answer anything again
 
         # spawn (fork) the real workers before starting any thread
@@ -224,6 +232,54 @@ class TestFaultTolerance:
             assert len(zombie_arrival) == 1
             assert not np.isfinite(zombie_arrival[0].t_arrival)
             assert wall < 10.0, "heartbeat detection should beat any long timeout"
+        finally:
+            stop.set()
+            fleet.terminate()
+
+    def test_malformed_result_header_drops_sender_not_round(self, rng):
+        """A Byzantine peer answering a round with a result frame whose
+        round id does not parse is a wire error: the sender is marked
+        dead and the round completes with the two honest workers,
+        without waiting on any heartbeat timeout."""
+        port = free_port()
+        stop = threading.Event()
+
+        def liar():
+            with _dial_and_register(port, 2) as sock:
+                while not stop.is_set():
+                    try:
+                        kind, _, _ = read_frame(sock)
+                    except (WireError, OSError):
+                        return
+                    if kind == "round":
+                        send_frame(
+                            sock, "result", {"ok": True, "rid": "not-an-int"},
+                            (F.random(2, rng),),
+                        )
+
+        fleet = spawn_local_workers("127.0.0.1", port, [0, 1])
+        thread = threading.Thread(target=liar, daemon=True)
+        thread.start()
+        try:
+            with TcpCluster(
+                F, _fleet(3, {}, {}), port=port, spawn_workers=False,
+                heartbeat_timeout=30.0,
+            ) as backend:
+                shares = F.random((3, 2, 4), rng)
+                v = F.random(4, rng)
+                backend.distribute("share", shares)
+                t0 = time.perf_counter()
+                handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
+                got = {a.worker_id: a.value for a in handle}
+                wall = time.perf_counter() - t0
+                rr = handle.result()
+                assert 2 in backend.membership().dead
+            assert sorted(got) == [0, 1]
+            for wid, value in got.items():
+                np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v))
+            liar_arrival = [a for a in rr.arrivals if a.worker_id == 2]
+            assert len(liar_arrival) == 1 and math.isinf(liar_arrival[0].t_arrival)
+            assert wall < 10.0, "the malformed header should drop the peer at once"
         finally:
             stop.set()
             fleet.terminate()
@@ -273,6 +329,109 @@ class TestFaultTolerance:
             handle.cancel()
             handle.cancel()
             assert handle.result().arrivals == rr.arrivals
+
+
+class TestCancellation:
+    def test_cancel_mid_collect_skips_straggler_sleep(self, rng):
+        """Cancelling after enough arrivals must neither wait for the
+        straggler's injected sleep nor leak its late reply into the
+        next round."""
+        sleep = 1.5
+        factor = 16.0
+        shares = F.random((4, 2, 4), rng)
+        v1 = F.random(4, rng)
+        v2 = F.random(4, rng)
+        with TcpCluster(
+            F, _fleet(4, {3: factor}, {}), straggle_scale=sleep / (factor - 1.0)
+        ) as backend:
+            backend.distribute("share", shares)
+            t0 = time.perf_counter()
+            handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v1))
+            seen = []
+            for a in handle:
+                seen.append(a.worker_id)
+                if len(seen) == 3:
+                    handle.cancel()
+                    break
+            rr = handle.result()
+            wall = time.perf_counter() - t0
+            assert sorted(seen) == [0, 1, 2]
+            assert wall < sleep * 0.8, "collect waited on a cancelled straggler"
+            late = [a for a in rr.arrivals if a.worker_id == 3]
+            assert len(late) == 1 and math.isinf(late[0].t_arrival)
+            # cancel is idempotent and safe after result()
+            handle.cancel()
+            assert handle.result().arrivals == rr.arrivals
+            # the cancelled round's rid never bleeds into the next one
+            time.sleep(sleep + 0.3)  # let the straggler drain its sleep
+            handle2 = backend.dispatch_round(RoundJob(payload_key="share", operand=v2))
+            got2 = {a.worker_id: a.value for a in handle2}
+            assert sorted(got2) == [0, 1, 2, 3]
+            for wid, value in got2.items():
+                np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v2))
+
+
+class TestShutdown:
+    def test_close_with_rounds_in_flight(self, rng):
+        """close() while a round is still collecting must resolve the
+        round (outstanding workers become never-arrived) and return
+        promptly; iterating the handle afterwards must not touch the
+        closed sockets."""
+        sleep = 3.0
+        factor = 31.0
+        shares = F.random((3, 2, 4), rng)
+        v = F.random(4, rng)
+        backend = TcpCluster(
+            F, _fleet(3, {2: factor}, {}), straggle_scale=sleep / (factor - 1.0)
+        )
+        try:
+            backend.distribute("share", shares)
+            handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
+            # collect the two fast workers, leave the straggler in flight
+            seen = []
+            for a in handle:
+                seen.append(a.worker_id)
+                if len(seen) == 2:
+                    break
+            assert sorted(seen) == [0, 1]
+        finally:
+            t0 = time.perf_counter()
+            backend.close()
+            wall = time.perf_counter() - t0
+        assert wall < sleep * 0.8, "close() waited out an in-flight straggler"
+        assert list(handle) == []  # resolved by close, no pump on a closed selector
+        rr = handle.result()
+        assert {a.worker_id for a in rr.arrivals} == {0, 1, 2}
+        late = [a for a in rr.arrivals if a.worker_id == 2]
+        assert math.isinf(late[0].t_arrival)
+        backend.close()  # idempotent
+
+
+class TestFanoutScaling:
+    """One master, 64 workers, no thread per worker: the selector
+    multiplexes every socket on the caller's thread."""
+
+    @staticmethod
+    def _run_fleet(n, rng):
+        shares = F.random((n, 2, 4), rng)
+        v = F.random(4, rng)
+        with TcpCluster(F, _fleet(n, {}, {}), straggle_scale=0.0) as backend:
+            during = threading.active_count()
+            backend.distribute("share", shares)
+            handle = backend.dispatch_round(RoundJob(payload_key="share", operand=v))
+            got = {a.worker_id: a.value for a in handle}
+            handle.result()
+        assert sorted(got) == list(range(n))
+        for wid, value in got.items():
+            np.testing.assert_array_equal(value, ff_matvec(F, shares[wid], v))
+        return during
+
+    @pytest.mark.slow
+    def test_64_workers_with_o1_threads(self, rng):
+        threads_small = self._run_fleet(8, rng)
+        threads_large = self._run_fleet(64, rng)
+        # 8x the fleet, identical thread census
+        assert threads_large == threads_small
 
 
 # ----------------------------------------------------------------------
